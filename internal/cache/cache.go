@@ -149,7 +149,7 @@ type way struct {
 	valid bool
 	dirty bool
 	kind  Kind
-	lru   uint64 // higher = more recently used
+	lru   uint64 // higher = more recently used; 0 exactly when invalid
 }
 
 // Eviction describes a line displaced by a fill.
@@ -300,9 +300,13 @@ func (c *Cache) Access(line uint64, write bool, kind Kind) bool {
 func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 	c.clock++
 	set := c.setFor(line)
-	// Scan the whole set for a present copy before choosing a victim:
-	// stopping the search at an invalid way would miss a matching line
-	// beyond it and install a duplicate.
+	// One pass over the whole set looks for a present copy (stopping at an
+	// invalid way would miss a matching line beyond it and install a
+	// duplicate) and finds the first way with the smallest LRU stamp.
+	// Invalid ways carry stamp 0 and valid ones a stamp of at least 1, so
+	// that way is the first invalid way, else the LRU way: the kind-blind
+	// victim, picked without a data-dependent branch.
+	victim, oldest := 0, set[0].lru
 	for i := range set {
 		w := &set[i]
 		if w.valid && w.tag == line {
@@ -316,27 +320,12 @@ func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 			}
 			return Eviction{}
 		}
+		older := olderMask(w.lru, oldest)
+		oldest ^= (oldest ^ w.lru) & older
+		victim ^= (victim ^ i) & int(older)
 	}
-	victim := -1
-	victimPreferred := false
-	pref, hasPref := c.cfg.Priority.preferred()
-	for i := range set {
-		w := &set[i]
-		if !w.valid {
-			victim = i
-			victimPreferred = false
-			break
-		}
-		wPreferred := hasPref && w.kind == pref
-		switch {
-		case victim == -1:
-			victim, victimPreferred = i, wPreferred
-		case victimPreferred && !wPreferred:
-			// A non-preferred line always beats a preferred one.
-			victim, victimPreferred = i, wPreferred
-		case victimPreferred == wPreferred && w.lru < set[victim].lru:
-			victim = i
-		}
+	if pref, ok := c.cfg.Priority.preferred(); ok {
+		victim = priorityVictim(set, pref)
 	}
 	w := &set[victim]
 	var ev Eviction
@@ -354,6 +343,36 @@ func (c *Cache) Fill(line uint64, write bool, kind Kind) Eviction {
 		c.shadow.s.Fill(line, write, kind, ev)
 	}
 	return ev
+}
+
+// olderMask returns all ones when stamp a is older (smaller) than stamp
+// b, else zero, without a branch. Stamps count operations from 0 and stay
+// far below 2^63, so the sign of a-b decides.
+func olderMask(a, b uint64) uint64 { return uint64(int64(a-b) >> 63) }
+
+// priorityVictim picks the Section 5.1 victim when lines of kind pref are
+// retained: the first invalid way, else the LRU line of the other kind,
+// else the LRU line of the preferred kind.
+func priorityVictim(set []way, pref Kind) int {
+	victim := -1
+	victimPreferred := false
+	for i := range set {
+		w := &set[i]
+		if !w.valid {
+			return i
+		}
+		wPreferred := w.kind == pref
+		switch {
+		case victim == -1:
+			victim, victimPreferred = i, wPreferred
+		case victimPreferred && !wPreferred:
+			// A non-preferred line always beats a preferred one.
+			victim, victimPreferred = i, wPreferred
+		case victimPreferred == wPreferred && w.lru < set[victim].lru:
+			victim = i
+		}
+	}
+	return victim
 }
 
 // Invalidate drops a line if present, returning whether it was dirty. Used
@@ -397,9 +416,10 @@ func (c *Cache) Resident(kind Kind) uint64 { return c.resident[kind] }
 
 // CheckInvariants validates the cache's internal structural invariants:
 // every valid line resides in the set its address indexes, LRU stamps are
-// unique within a set and never ahead of the clock, no line is duplicated
-// across ways, and the per-kind residency counters match a recount. It
-// returns the first violation found, or nil.
+// unique within a set and never ahead of the clock, an invalid way carries
+// stamp 0 (Fill's victim pass relies on it), no line is duplicated across
+// ways, and the per-kind residency counters match a recount. It returns
+// the first violation found, or nil.
 func (c *Cache) CheckInvariants() error {
 	var recount [numKinds]uint64
 	seen := make(map[uint64]int)
@@ -410,6 +430,10 @@ func (c *Cache) CheckInvariants() error {
 		for wi := range set {
 			w := &set[wi]
 			if !w.valid {
+				if w.lru != 0 {
+					return fmt.Errorf("cache %q: set %d way %d is invalid but carries LRU stamp %d",
+						c.cfg.Name, si, wi, w.lru)
+				}
 				continue
 			}
 			recount[w.kind]++

@@ -125,6 +125,9 @@ func (s *System) CheckInvariants() error {
 				return fmt.Errorf("core %d: %w", c.id, err)
 			}
 		}
+		if err := c.walker.CheckInvariants(); err != nil {
+			return fmt.Errorf("core %d: %w", c.id, err)
+		}
 	}
 	if err := s.l3.CheckInvariants(); err != nil {
 		return err

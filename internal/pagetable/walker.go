@@ -148,6 +148,17 @@ func (w *Walker) InvalidateAll() {
 	w.nested.InvalidateAll()
 }
 
+// CheckInvariants validates the three PSCs and the nested TLB, returning
+// the first violation found, or nil.
+func (w *Walker) CheckInvariants() error {
+	for _, p := range []*PSC{w.pml4c, w.pdpc, w.pdec} {
+		if err := p.CheckInvariants(); err != nil {
+			return err
+		}
+	}
+	return w.nested.CheckInvariants()
+}
+
 // prefix extracts the VA prefix covering the upper levels down to (and
 // including) level l's index; this is the tag for the PSC that skips to
 // the node *below* level l.

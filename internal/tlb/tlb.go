@@ -114,8 +114,15 @@ type Shadow interface {
 // slot is one TLB way.
 type slot struct {
 	entry Entry
-	lru   uint64
+	lru   uint64 // higher = more recently used; 0 exactly when invalid
 }
+
+// sizeBuckets counts valid entries per page size: one bucket for each of
+// 4 KB, 2 MB and 1 GB, and a last one shared by any other size value,
+// which no lookup probes.
+const sizeBuckets = 4
+
+func sizeBucket(s addr.PageSize) int { return min(int(s), sizeBuckets-1) }
 
 // hook wraps an attached Shadow behind a concrete pointer: the
 // unobserved hot path pays a single-word nil check instead of a
@@ -136,6 +143,9 @@ type TLB struct {
 	clock   uint64
 	stats   stats.HitMiss
 	shadow  *hook
+	// bySize counts the valid entries of each page size, so a probe for
+	// a size the TLB holds none of is a miss without a set scan.
+	bySize [sizeBuckets]int
 }
 
 // New creates a TLB, reporting configuration errors.
@@ -185,6 +195,12 @@ func (t *TLB) setFor(vpn uint64) []slot {
 
 // lookupSize probes one page-size interpretation of va.
 func (t *TLB) lookupSize(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize) (Entry, bool) {
+	if t.bySize[sizeBucket(size)] == 0 {
+		if t.shadow != nil {
+			t.shadow.s.LookupSize(vm, pid, va, size, false, Entry{})
+		}
+		return Entry{}, false
+	}
 	vpn := va.VPN(size)
 	set := t.setFor(vpn)
 	for i := range set {
@@ -242,9 +258,13 @@ func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 	}
 	t.clock++
 	set := t.setFor(e.VPN)
-	// Scan the whole set for a match before choosing a victim: stopping
-	// the search at an invalid way would miss a matching entry beyond it
-	// and install a duplicate.
+	// One pass over the whole set looks for a match (stopping at an
+	// invalid way would miss a matching entry beyond it and install a
+	// duplicate) and finds the first slot with the smallest LRU stamp.
+	// Invalid slots carry stamp 0 and valid ones a stamp of at least 1,
+	// so that slot is the first invalid one, else the LRU entry, picked
+	// without a data-dependent branch.
+	vi, oldest := 0, set[0].lru
 	for i := range set {
 		s := &set[i]
 		if s.entry.matches(e.VM, e.PID, e.VPN, e.Size) {
@@ -255,21 +275,16 @@ func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 			}
 			return Entry{}, false
 		}
-	}
-	vi := 0
-	for i := range set {
-		if !set[i].entry.Valid {
-			vi = i
-			break
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
+		older := olderMask(s.lru, oldest)
+		oldest ^= (oldest ^ s.lru) & older
+		vi ^= (vi ^ i) & int(older)
 	}
 	s := &set[vi]
 	if s.entry.Valid {
 		victim, evicted = s.entry, true
+		t.bySize[sizeBucket(victim.Size)]--
 	}
+	t.bySize[sizeBucket(e.Size)]++
 	s.entry = e
 	s.lru = t.clock
 	if t.shadow != nil {
@@ -278,6 +293,11 @@ func (t *TLB) Insert(e Entry) (victim Entry, evicted bool) {
 	return victim, evicted
 }
 
+// olderMask returns all ones when stamp a is older (smaller) than stamp
+// b, else zero, without a branch. Stamps count operations from 0 and stay
+// far below 2^63, so the sign of a-b decides.
+func olderMask(a, b uint64) uint64 { return uint64(int64(a-b) >> 63) }
+
 // InvalidatePage drops one translation (TLB shootdown of a single page).
 func (t *TLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
 	found := false
@@ -285,6 +305,7 @@ func (t *TLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.P
 	for i := range set {
 		if set[i].entry.matches(vm, pid, vpn, size) {
 			set[i] = slot{}
+			t.bySize[sizeBucket(size)]--
 			found = true
 			break
 		}
@@ -300,8 +321,9 @@ func (t *TLB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.P
 func (t *TLB) InvalidateVM(vm addr.VMID) int {
 	n := 0
 	for i := range t.slots {
-		if t.slots[i].entry.Valid && t.slots[i].entry.VM == vm {
+		if e := t.slots[i].entry; e.Valid && e.VM == vm {
 			t.slots[i] = slot{}
+			t.bySize[sizeBucket(e.Size)]--
 			n++
 		}
 	}
@@ -319,6 +341,7 @@ func (t *TLB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 		e := t.slots[i].entry
 		if e.Valid && e.VM == vm && e.PID == pid {
 			t.slots[i] = slot{}
+			t.bySize[sizeBucket(e.Size)]--
 			n++
 		}
 	}
@@ -333,6 +356,7 @@ func (t *TLB) InvalidateAll() {
 	for i := range t.slots {
 		t.slots[i] = slot{}
 	}
+	t.bySize = [sizeBuckets]int{}
 	if t.shadow != nil {
 		t.shadow.s.InvalidateAll()
 	}
@@ -352,8 +376,10 @@ func (t *TLB) Count() int {
 // CheckInvariants validates the TLB's internal structural invariants:
 // every valid entry resides in the set its VPN indexes, LRU stamps are
 // unique within a set and never ahead of the TLB clock (the LRU stack
-// property), and no translation is duplicated anywhere in the structure.
-// It returns the first violation found, or nil.
+// property), an invalid slot carries stamp 0 (Insert's victim pass relies
+// on it), the per-size counts match a recount (lookups skip sizes counted
+// empty), and no translation is duplicated anywhere in the structure. It
+// returns the first violation found, or nil.
 func (t *TLB) CheckInvariants() error {
 	type key struct {
 		vm   addr.VMID
@@ -362,6 +388,7 @@ func (t *TLB) CheckInvariants() error {
 		size addr.PageSize
 	}
 	seen := make(map[key]uint64, t.cfg.Entries)
+	var recount [sizeBuckets]int
 	numSets := len(t.slots) / t.ways
 	for si := 0; si < numSets; si++ {
 		set := t.slots[si*t.ways : (si+1)*t.ways]
@@ -369,8 +396,13 @@ func (t *TLB) CheckInvariants() error {
 		for wi := range set {
 			e := set[wi].entry
 			if !e.Valid {
+				if set[wi].lru != 0 {
+					return fmt.Errorf("tlb %q: set %d way %d is invalid but carries LRU stamp %d",
+						t.cfg.Name, si, wi, set[wi].lru)
+				}
 				continue
 			}
+			recount[sizeBucket(e.Size)]++
 			if want := e.VPN & t.setMask; want != uint64(si) {
 				return fmt.Errorf("tlb %q: entry %v resident in set %d, its VPN indexes set %d",
 					t.cfg.Name, e, si, want)
@@ -392,6 +424,9 @@ func (t *TLB) CheckInvariants() error {
 			}
 			seen[k] = uint64(si)
 		}
+	}
+	if recount != t.bySize {
+		return fmt.Errorf("tlb %q: per-size counts %v but recount found %v", t.cfg.Name, t.bySize, recount)
 	}
 	return nil
 }
@@ -490,10 +525,12 @@ func (l *SplitL1) InvalidateAll() {
 	l.Huge.InvalidateAll()
 }
 
-// MissRatio returns the combined L1 miss ratio (misses are recorded on the
-// small structure's counter once per joint probe).
+// MissRatio returns the combined L1 miss ratio: hits are recorded on the
+// structure that hit, misses on the small structure's counter once per
+// joint probe.
 func (l *SplitL1) MissRatio() float64 {
 	hm := l.Small.Stats()
 	hm.Add(l.Large.Stats())
+	hm.Add(l.Huge.Stats())
 	return hm.MissRatio()
 }
