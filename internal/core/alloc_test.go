@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -166,5 +167,31 @@ func TestShadowObservesAfterDevirtualization(t *testing.T) {
 					got, res.Records)
 			}
 		})
+	}
+}
+
+// TestNewSystemAllocBound guards the lazily allocated translation tables:
+// the default 16 MB POM-TLB and 16 MB TSB are modelled capacity, not host
+// memory, so building a system must allocate only the chunks later
+// inserts write (none yet). An eager table of either would allocate over
+// 32 MiB here.
+func TestNewSystemAllocBound(t *testing.T) {
+	const bound = 8 << 20
+	for _, mode := range []Mode{POMTLB, TSB} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sys, err := NewSystem(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(sys)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+			t.Errorf("%s: NewSystem allocated %.1f MiB, want < %d MiB", mode, float64(got)/(1<<20), bound>>20)
+		} else {
+			t.Logf("%s: NewSystem allocated %.2f MiB", mode, float64(got)/(1<<20))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/tlb"
 	"repro/internal/trace"
 )
 
@@ -184,6 +185,33 @@ func TestShootdownDuringRunKeepsInvariants(t *testing.T) {
 	}
 	if shot == 0 {
 		t.Fatal("no pages shot down")
+	}
+}
+
+// TestProcessExitDropsL1HugeEntries: ProcessExit must flush the 1 GB L1
+// structure too — SplitL1.Lookup probes it, so a recycled PID would
+// otherwise hit the dead process's 1 GB translation.
+func TestProcessExitDropsL1HugeEntries(t *testing.T) {
+	sys, err := NewSystem(smallConfig(Baseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vm, pid = addr.VMID(1), addr.PID(3)
+	va := addr.VA(5 << 30)
+	for _, c := range sys.cores {
+		c.l1tlb.Insert(tlb.Entry{VM: vm, PID: pid, VPN: va.VPN(addr.Page1G), PFN: 9, Size: addr.Page1G, Valid: true})
+		if _, ok := c.l1tlb.Lookup(vm, pid, va); !ok {
+			t.Fatal("1 GB entry not resident after insert")
+		}
+	}
+	sys.ProcessExit(vm, pid)
+	for i, c := range sys.cores {
+		if e, ok := c.l1tlb.Lookup(vm, pid, va); ok {
+			t.Errorf("core %d: recycled PID hits the dead process's 1 GB entry %+v", i, e)
+		}
+		if n := c.l1tlb.Huge.Count(); n != 0 {
+			t.Errorf("core %d: 1 GB L1 still holds %d entries", i, n)
+		}
 	}
 }
 

@@ -494,8 +494,7 @@ func (s *System) ProcessExit(vmid addr.VMID, pid addr.PID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.cores {
-		c.l1tlb.Small.InvalidateProcess(vmid, pid)
-		c.l1tlb.Large.InvalidateProcess(vmid, pid)
+		c.l1tlb.InvalidateProcess(vmid, pid)
 		c.l2tlb.InvalidateProcess(vmid, pid)
 		c.walker.InvalidateAll()
 	}

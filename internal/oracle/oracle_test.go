@@ -131,9 +131,24 @@ func TestRefDRAMAgreement(t *testing.T) {
 }
 
 func TestRefPOMAgreement(t *testing.T) {
+	for _, g := range []struct {
+		sizeBytes uint64
+		ways      int
+	}{
+		{1 << 20, 4}, // small enough that sets fill and evict
+		{4 << 10, 2}, // fewer sets than one storage chunk
+		{64, 2},      // a single 2-way set per partition
+	} {
+		cfg := pomtlb.DefaultConfig()
+		cfg.SizeBytes = g.sizeBytes
+		cfg.Ways = g.ways
+		checkRefPOMAgreement(t, cfg)
+	}
+}
+
+func checkRefPOMAgreement(t *testing.T, cfg pomtlb.Config) {
+	t.Helper()
 	h := NewHarness()
-	cfg := pomtlb.DefaultConfig()
-	cfg.SizeBytes = 1 << 20 // small enough that sets fill and evict
 	prod := pomtlb.New(cfg)
 	NewRefPOM(h, prod.Small)
 	NewRefPOM(h, prod.Large)
@@ -161,10 +176,10 @@ func TestRefPOMAgreement(t *testing.T) {
 		}
 	}
 	if err := h.Err(); err != nil {
-		t.Fatalf("reference diverged from production POM-TLB: %v", err)
+		t.Fatalf("%d B, %d ways: reference diverged from production POM-TLB: %v", cfg.SizeBytes, cfg.Ways, err)
 	}
 	if err := prod.CheckInvariants(); err != nil {
-		t.Fatalf("production POM-TLB invariants: %v", err)
+		t.Fatalf("%d B, %d ways: production POM-TLB invariants: %v", cfg.SizeBytes, cfg.Ways, err)
 	}
 }
 

@@ -22,18 +22,19 @@ const EntryBytes = 16
 
 // Entry is one POM-TLB translation entry. It mirrors Figure 5's metadata
 // format: valid bit, VM ID, process ID, VPN, PPN and attribute bits (which
-// include the 2 LRU bits used for replacement).
+// include the 2 LRU bits used for replacement). The two 64-bit fields
+// come first so the host struct packs into 24 bytes.
 type Entry struct {
-	Valid bool
-	VM    addr.VMID
-	PID   addr.PID
-	VPN   uint64 // virtual page number at the partition's page size
-	PFN   uint64 // host physical frame number
-	Size  addr.PageSize
+	VPN  uint64 // virtual page number at the partition's page size
+	PFN  uint64 // host physical frame number
+	VM   addr.VMID
+	PID  addr.PID
+	Size addr.PageSize
 	// LRU is the 2-bit age used for replacement (3 = most recent).
 	LRU uint8
 	// Attr carries the remaining attribute/protection bits.
-	Attr uint8
+	Attr  uint8
+	Valid bool
 }
 
 // matches reports whether the entry translates (vm, pid, vpn).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/chunked"
 	"repro/internal/dram"
 	"repro/internal/stats"
 )
@@ -77,19 +78,26 @@ type Shadow interface {
 // branch the CPU predicts never-taken when no oracle is attached.
 type hook struct{ s Shadow }
 
+// setChunkShift sizes the host-memory chunks a partition's sets are
+// stored in: 1<<8 = 256 sets (24 KB at 4 ways), allocated on the first
+// insert into any of them. A run touches few of a 16 MB partition's
+// chunks, so host memory follows the sets the run writes, not the
+// modelled capacity.
+const setChunkShift = 8
+
 // Partition is one of the two physically-partitioned structures
 // (POM_TLB_Small or POM_TLB_Large): a set-associative array of complete
 // translations, mapped at a contiguous physical address range so its sets
-// can be cached in the data caches. All entries live in one contiguous
-// array; set i occupies entries[i*ways : (i+1)*ways], mirroring the
-// physical layout of Figure 5.
+// can be cached in the data caches. Set i's ways are group i of a chunked
+// array, mirroring the physical layout of Figure 5; a set whose chunk was
+// never written reads as all-invalid.
 type Partition struct {
 	PageSize addr.PageSize
 	base     uint64
 	ways     int
 	numSets  uint64
 	setBytes uint64
-	entries  []Entry
+	sets     chunked.Array[Entry]
 	lookups  stats.HitMiss
 	inserts  uint64
 	count    int
@@ -122,14 +130,8 @@ func newPartition(size addr.PageSize, base uint64, bytes uint64, ways int) *Part
 		ways:     ways,
 		numSets:  n,
 		setBytes: setBytes,
-		entries:  make([]Entry, n*uint64(ways)),
+		sets:     chunked.Make[Entry](n, ways, setChunkShift),
 	}
-}
-
-// set returns the ways of set i.
-func (p *Partition) set(i uint64) []Entry {
-	w := i * uint64(p.ways)
-	return p.entries[w : w+uint64(p.ways)]
 }
 
 // Sets returns the number of sets.
@@ -203,9 +205,11 @@ func ageAllExcept(set []Entry, touched int) {
 // is the associative comparison done on the fetched 64 B burst.
 func (p *Partition) Search(vm addr.VMID, pid addr.PID, va addr.VA) (Entry, bool) {
 	vpn := va.VPN(p.PageSize)
-	set := p.set(p.SetIndex(va, vm))
+	set := p.sets.Read(p.SetIndex(va, vm))
 	for i := range set {
 		if set[i].matches(vm, pid, vpn) {
+			// A match means the set's chunk is allocated: the shared
+			// zero set holds no valid entry, so this write is safe.
 			ageAllExcept(set, i)
 			p.lookups.Hit()
 			if p.shadow != nil {
@@ -228,7 +232,7 @@ func (p *Partition) Insert(e Entry) (victim Entry, evicted bool) {
 	if !e.Valid || e.Size != p.PageSize {
 		panic(fmt.Sprintf("pomtlb: inserting %v into %s partition", e, p.PageSize))
 	}
-	set := p.set(p.SetIndex(addr.VA(e.VPN<<p.PageSize.Shift()), e.VM))
+	set := p.sets.Write(p.SetIndex(addr.VA(e.VPN<<p.PageSize.Shift()), e.VM))
 	vi := -1
 	for i := range set {
 		if set[i].matches(e.VM, e.PID, e.VPN) {
@@ -266,11 +270,11 @@ func (p *Partition) Insert(e Entry) (victim Entry, evicted bool) {
 
 // InvalidatePage removes one translation (shootdown).
 func (p *Partition) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64) bool {
-	set := p.set(p.setIndexForVPN(vpn, vm))
+	set := p.sets.Read(p.setIndexForVPN(vpn, vm))
 	found := false
 	for i := range set {
 		if set[i].matches(vm, pid, vpn) {
-			set[i] = Entry{}
+			set[i] = Entry{} // matched, so not the shared zero set
 			p.count--
 			found = true
 			break
@@ -286,13 +290,16 @@ func (p *Partition) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64) bool 
 // removed — required before the guest OS recycles a process ID (§2.2).
 func (p *Partition) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 	n := 0
-	for i := range p.entries {
-		if p.entries[i].Valid && p.entries[i].VM == vm && p.entries[i].PID == pid {
-			p.entries[i] = Entry{}
-			p.count--
-			n++
+	for ci := range p.sets.NumChunks() {
+		_, c := p.sets.Chunk(ci)
+		for i := range c {
+			if c[i].Valid && c[i].VM == vm && c[i].PID == pid {
+				c[i] = Entry{}
+				n++
+			}
 		}
 	}
+	p.count -= n
 	if p.shadow != nil {
 		p.shadow.s.InvalidateProcess(vm, pid, n)
 	}
@@ -302,13 +309,16 @@ func (p *Partition) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 // InvalidateVM removes every entry of a VM, returning the count removed.
 func (p *Partition) InvalidateVM(vm addr.VMID) int {
 	n := 0
-	for i := range p.entries {
-		if p.entries[i].Valid && p.entries[i].VM == vm {
-			p.entries[i] = Entry{}
-			p.count--
-			n++
+	for ci := range p.sets.NumChunks() {
+		_, c := p.sets.Chunk(ci)
+		for i := range c {
+			if c[i].Valid && c[i].VM == vm {
+				c[i] = Entry{}
+				n++
+			}
 		}
 	}
+	p.count -= n
 	if p.shadow != nil {
 		p.shadow.s.InvalidateVM(vm, n)
 	}
@@ -318,9 +328,13 @@ func (p *Partition) InvalidateVM(vm addr.VMID) int {
 // CheckInvariants validates the partition's structural invariants: every
 // valid entry sits in the set its (VPN, VM) index to, carries the
 // partition's page size, has in-range 2-bit LRU state, no (vm, pid, vpn)
-// key appears twice, and the resident count matches a full recount.
+// key appears twice, the resident count matches a full recount, and the
+// shared set that unwritten chunks read as is still all-invalid.
 // Returns the first violation found, or nil.
 func (p *Partition) CheckInvariants() error {
+	if !p.sets.ZeroIntact() {
+		return fmt.Errorf("pomtlb %s: shared zero set was written", p.PageSize)
+	}
 	type key struct {
 		vm  addr.VMID
 		pid addr.PID
@@ -328,26 +342,29 @@ func (p *Partition) CheckInvariants() error {
 	}
 	seen := make(map[key]uint64, p.count)
 	n := 0
-	for si := uint64(0); si < p.numSets; si++ {
-		for wi, e := range p.set(si) {
+	ways := uint64(p.ways)
+	for ci := range p.sets.NumChunks() {
+		first, c := p.sets.Chunk(ci)
+		for i, e := range c {
 			if !e.Valid {
 				continue
 			}
 			n++
+			si, wi := first+uint64(i)/ways, uint64(i)%ways
 			if e.Size != p.PageSize {
 				return fmt.Errorf("pomtlb %s set %d way %d: entry size %s", p.PageSize, si, wi, e.Size)
 			}
 			if e.LRU > 3 {
 				return fmt.Errorf("pomtlb %s set %d way %d: LRU %d out of 2-bit range", p.PageSize, si, wi, e.LRU)
 			}
-			if want := p.setIndexForVPN(e.VPN, e.VM); want != uint64(si) {
+			if want := p.setIndexForVPN(e.VPN, e.VM); want != si {
 				return fmt.Errorf("pomtlb %s set %d way %d: vpn %#x indexes to set %d", p.PageSize, si, wi, e.VPN, want)
 			}
 			k := key{e.VM, e.PID, e.VPN}
 			if prev, dup := seen[k]; dup {
 				return fmt.Errorf("pomtlb %s set %d: duplicate key %+v (also in set %d)", p.PageSize, si, k, prev)
 			}
-			seen[k] = uint64(si)
+			seen[k] = si
 		}
 	}
 	if n != p.count {
@@ -382,19 +399,20 @@ func (p *Partition) SetEntries(va addr.VA, vm addr.VMID) []Entry {
 
 // SetView returns the live ways of the set va maps to — the four
 // translations that arrive together in one 64 B burst — without
-// copying. The returned slice aliases the partition's backing array and
-// must not be mutated or retained across partition mutations; the
-// record-loop caller (neighbour prefetching, §6) reads it immediately,
+// copying. The returned slice aliases the partition's backing storage
+// (or, for a set never written, the shared all-invalid set) and must not
+// be mutated or retained across partition mutations; the record-loop
+// caller (neighbour prefetching, §6) reads it immediately,
 // allocation-free.
 func (p *Partition) SetView(va addr.VA, vm addr.VMID) []Entry {
-	return p.set(p.SetIndex(va, vm))
+	return p.sets.Read(p.SetIndex(va, vm))
 }
 
 // SetImage returns the raw 64 B-per-line memory image of a set — what a
 // cached copy of the set actually holds (Figure 5's layout).
 func (p *Partition) SetImage(setIdx uint64) []byte {
 	img := make([]byte, p.setBytes)
-	for i, e := range p.set(setIdx) {
+	for i, e := range p.sets.Read(setIdx) {
 		b := e.Encode()
 		copy(img[i*EntryBytes:], b[:])
 	}

@@ -25,8 +25,8 @@ func FuzzIngest(f *testing.F) {
 	valid := fuzzEncode(trace.Collect(parityGen(), 3))
 	f.Add([]byte{}, uint8(1))
 	f.Add(valid, uint8(5))
-	f.Add(valid[:len(valid)-7], uint8(3))   // torn mid-record
-	f.Add(valid[:4], uint8(1))              // torn mid-header
+	f.Add(valid[:len(valid)-7], uint8(3))        // torn mid-record
+	f.Add(valid[:4], uint8(1))                   // torn mid-header
 	f.Add([]byte("NOTATRACE-------"), uint8(16)) // full-length bad magic
 	f.Add(append(append([]byte{}, valid...), 0xFF), uint8(2))
 

@@ -14,12 +14,13 @@ import (
 
 // Entry is one cached translation: (VM, process, virtual page) → host frame.
 // Unlike a page-table entry, it represents the *complete* 2D translation,
-// which is exactly the property the POM-TLB exploits.
+// which is exactly the property the POM-TLB exploits. The two 64-bit
+// fields come first so the struct packs into 24 bytes.
 type Entry struct {
-	VM    addr.VMID
-	PID   addr.PID
 	VPN   uint64 // virtual page number at Size granularity
 	PFN   uint64 // host physical frame number at Size granularity
+	VM    addr.VMID
+	PID   addr.PID
 	Size  addr.PageSize
 	Valid bool
 }
@@ -516,6 +517,13 @@ func (l *SplitL1) Insert(e Entry) {
 // InvalidatePage shoots one page out of whichever structure holds it.
 func (l *SplitL1) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
 	return l.structFor(size).InvalidatePage(vm, pid, vpn, size)
+}
+
+// InvalidateProcess drops every translation of (vm, pid) from all three
+// structures, returning how many entries were removed.
+func (l *SplitL1) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
+	return l.Small.InvalidateProcess(vm, pid) + l.Large.InvalidateProcess(vm, pid) +
+		l.Huge.InvalidateProcess(vm, pid)
 }
 
 // InvalidateAll flushes all structures.

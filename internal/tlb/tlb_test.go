@@ -3,6 +3,7 @@ package tlb
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/addr"
 )
@@ -292,5 +293,34 @@ func TestUnifiedL2Holds1G(t *testing.T) {
 	tl.Insert(Entry{VM: 1, PID: 1, VPN: va.VPN(addr.Page1G), PFN: 0x44, Size: addr.Page1G, Valid: true})
 	if e, ok := tl.Lookup(1, 1, va+123); !ok || e.Size != addr.Page1G {
 		t.Errorf("unified 1G lookup = %+v, %v", e, ok)
+	}
+}
+
+func TestEntryHostSize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Errorf("host Entry is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(slot{}); got != 32 {
+		t.Errorf("host slot is %d bytes, want 32", got)
+	}
+}
+
+// TestSplitL1InvalidateProcess: a process exit must reach all three L1
+// structures, the 1 GB one included, since Lookup probes all three.
+func TestSplitL1InvalidateProcess(t *testing.T) {
+	l := DefaultSplitL1()
+	va := addr.VA(3 << 30)
+	for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
+		l.Insert(Entry{VM: 1, PID: 2, VPN: va.VPN(s), PFN: 7, Size: s, Valid: true})
+	}
+	l.Insert(Entry{VM: 1, PID: 3, VPN: va.VPN(addr.Page1G), PFN: 8, Size: addr.Page1G, Valid: true})
+	if n := l.InvalidateProcess(1, 2); n != 3 {
+		t.Errorf("removed %d entries, want 3", n)
+	}
+	if _, ok := l.Lookup(1, 2, va); ok {
+		t.Error("dead process still hits in the L1")
+	}
+	if e, ok := l.Lookup(1, 3, va); !ok || e.PFN != 8 {
+		t.Errorf("other process's 1 GB entry = %v, %v", e, ok)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/chunked"
 	"repro/internal/stats"
 )
 
@@ -58,19 +59,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// entry is one slot; the 64-bit fields come first so it packs into 24
+// bytes.
 type entry struct {
-	vm    addr.VMID
-	pid   addr.PID
 	vpn   uint64
 	pfn   uint64
+	vm    addr.VMID
+	pid   addr.PID
 	size  addr.PageSize
 	valid bool
 }
 
+// slotChunkShift sizes the host-memory chunks the slots are stored in:
+// 1<<10 = 1,024 slots (24 KB), allocated on the first insert into any of
+// them, so host memory follows the slots a run writes, not the modelled
+// 16 MB.
+const slotChunkShift = 10
+
 // TSB is the direct-mapped translation storage buffer.
 type TSB struct {
 	cfg     Config
-	slots   []entry
+	slots   chunked.Array[entry] // one-entry groups; unwritten slots read invalid
 	mask    uint64
 	lookups stats.HitMiss
 	// Conflicts counts inserts that displaced a live entry — the
@@ -87,7 +96,7 @@ func New(cfg Config) (*TSB, error) {
 	for n&(n-1) != 0 {
 		n &= n - 1
 	}
-	return &TSB{cfg: cfg, slots: make([]entry, n), mask: n - 1}, nil
+	return &TSB{cfg: cfg, slots: chunked.Make[entry](n, 1, slotChunkShift), mask: n - 1}, nil
 }
 
 // MustNew is New but panics on invalid configuration — the historical
@@ -104,7 +113,7 @@ func MustNew(cfg Config) *TSB {
 func (t *TSB) Config() Config { return t.cfg }
 
 // Slots returns the number of direct-mapped slots.
-func (t *TSB) Slots() uint64 { return uint64(len(t.slots)) }
+func (t *TSB) Slots() uint64 { return t.slots.Len() }
 
 // index computes the direct-mapped slot for a VPN.
 func (t *TSB) index(vm addr.VMID, vpn uint64) uint64 {
@@ -120,7 +129,7 @@ func (t *TSB) EntryAddr(vm addr.VMID, va addr.VA, size addr.PageSize) addr.HPA {
 
 // Lookup probes the slot for one page-size interpretation of va.
 func (t *TSB) Lookup(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize) (pfn uint64, ok bool) {
-	e := t.slots[t.index(vm, va.VPN(size))]
+	e := t.slots.Read(t.index(vm, va.VPN(size)))[0]
 	if e.valid && e.vm == vm && e.pid == pid && e.size == size && e.vpn == va.VPN(size) {
 		t.lookups.Hit()
 		return e.pfn, true
@@ -133,25 +142,26 @@ func (t *TSB) Lookup(vm addr.VMID, pid addr.PID, va addr.VA, size addr.PageSize)
 // touching the lookup statistics — the conformance suite's logical
 // residual probe.
 func (t *TSB) Peek(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	e := t.slots[t.index(vm, vpn)]
+	e := t.slots.Read(t.index(vm, vpn))[0]
 	return e.valid && e.vm == vm && e.pid == pid && e.size == size && e.vpn == vpn
 }
 
 // Insert stores a resolved translation, displacing whatever lived in the
 // slot (direct-mapped: no choice of victim).
 func (t *TSB) Insert(vm addr.VMID, pid addr.PID, vpn, pfn uint64, size addr.PageSize) {
-	i := t.index(vm, vpn)
-	if t.slots[i].valid {
+	s := &t.slots.Write(t.index(vm, vpn))[0]
+	if s.valid {
 		t.Conflicts++
 	}
-	t.slots[i] = entry{vm: vm, pid: pid, vpn: vpn, pfn: pfn, size: size, valid: true}
+	*s = entry{vm: vm, pid: pid, vpn: vpn, pfn: pfn, size: size, valid: true}
 }
 
 // InvalidatePage removes one translation (shootdown).
 func (t *TSB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.PageSize) bool {
-	i := t.index(vm, vpn)
-	e := &t.slots[i]
+	e := &t.slots.Read(t.index(vm, vpn))[0]
 	if e.valid && e.vm == vm && e.pid == pid && e.vpn == vpn && e.size == size {
+		// Only an allocated chunk holds a valid slot, so this write never
+		// reaches the shared zero slot.
 		*e = entry{}
 		return true
 	}
@@ -161,11 +171,13 @@ func (t *TSB) InvalidatePage(vm addr.VMID, pid addr.PID, vpn uint64, size addr.P
 // InvalidateProcess removes every entry of (vm, pid).
 func (t *TSB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 	n := 0
-	for i := range t.slots {
-		e := &t.slots[i]
-		if e.valid && e.vm == vm && e.pid == pid {
-			*e = entry{}
-			n++
+	for ci := range t.slots.NumChunks() {
+		_, c := t.slots.Chunk(ci)
+		for i := range c {
+			if e := &c[i]; e.valid && e.vm == vm && e.pid == pid {
+				*e = entry{}
+				n++
+			}
 		}
 	}
 	return n
@@ -174,9 +186,12 @@ func (t *TSB) InvalidateProcess(vm addr.VMID, pid addr.PID) int {
 // Count returns the number of live entries.
 func (t *TSB) Count() int {
 	n := 0
-	for _, e := range t.slots {
-		if e.valid {
-			n++
+	for ci := range t.slots.NumChunks() {
+		_, c := t.slots.Chunk(ci)
+		for _, e := range c {
+			if e.valid {
+				n++
+			}
 		}
 	}
 	return n
